@@ -74,13 +74,9 @@ def main():
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--corpus-seed", type=int, default=17,
                         help="seed the datasets are generated from")
-    parser.add_argument("--compute-threads", type=int, default=1,
-                        help="size of the library's compute pool")
     args = parser.parse_args()
-    if args.seed < 0 or not 1 <= args.seconds <= 60 or \
-            not 1 <= args.compute_threads <= 64:
-        return fail("--seed must be >= 0, --seconds in [1, 60] and "
-                    "--compute-threads in [1, 64]")
+    if args.seed < 0 or not 1 <= args.seconds <= 60:
+        return fail("--seed must be >= 0 and --seconds in [1, 60]")
     if not (os.path.isfile(os.path.join(ROOT, "CMakeLists.txt"))
             and os.path.isdir(os.path.join(ROOT, "src"))):
         return fail("no Zeus sources next to perfbench/ (expected "
@@ -96,8 +92,7 @@ def main():
     work = tempfile.mkdtemp(prefix="work-", dir=BUILD_ROOT)
     cmd = [binary, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace),
-           "--corpus-seed", str(args.corpus_seed),
-           "--compute-threads", str(args.compute_threads), "--work-dir", work,
+           "--corpus-seed", str(args.corpus_seed), "--work-dir", work,
            "--out-dir", results, "--commit", source_id()]
     proc = subprocess.Popen(cmd, stdout=sys.stdout, stderr=sys.stderr)
     try:

@@ -254,6 +254,8 @@ double Report::modeled_fps() const {
 }
 
 int Report::Finish() {
+  // A failed operation fails the run as a failed check does.
+  const bool correct = correct_ && acct_.failed() == 0;
   std::map<std::string, std::pair<double, std::string>> metrics, layers;
   for (const auto& [k, v] : metrics_) metrics[k] = {v.value, v.unit};
   for (const auto& [k, v] : layers_) layers[k] = {v.value, v.unit};
@@ -274,7 +276,7 @@ int Report::Finish() {
        << (tensor::DefaultComputePool() != nullptr
                ? tensor::DefaultComputePool()->num_threads()
                : 1)
-       << "},\n  \"correct\": " << (correct_ ? "true" : "false")
+       << "},\n  \"correct\": " << (correct ? "true" : "false")
        << ",\n  \"attempted\": " << acct_.attempted()
        << ",\n  \"failed\": " << acct_.failed() << ",\n  \"phases\": {";
   bool first = true;
@@ -319,7 +321,7 @@ int Report::Finish() {
   }
 
   std::ostringstream line;
-  line << "{\"correct\": " << (correct_ ? "true" : "false")
+  line << "{\"correct\": " << (correct ? "true" : "false")
        << ", \"attempted\": " << acct_.attempted()
        << ", \"failed\": " << acct_.failed() << ", \"metrics\": ";
   WriteValues(line, args_.trace ? layers : metrics);
@@ -327,7 +329,7 @@ int Report::Finish() {
   std::fflush(stderr);
   std::printf("%s\n", line.str().c_str());
   std::fflush(stdout);
-  return correct_ && acct_.attempted() > 0 ? 0 : 1;
+  return correct && acct_.attempted() > 0 ? 0 : 1;
 }
 
 void CheckExecutorsAgree(const core::QueryPlan& plan,

@@ -120,7 +120,8 @@ class Report {
   const Args& args() const { return args_; }
 
   // Prints the final JSON line and writes the result file. Returns the
-  // process exit code.
+  // process exit code: 0 only when every check passed, no operation failed
+  // and at least one was attempted.
   int Finish();
 
  private:

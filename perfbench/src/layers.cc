@@ -344,6 +344,12 @@ void ReplayLayers(const LayerInputs& in, Report* report) {
   }
 }
 
+void ReportNoPlanScaling(Report* report) {
+  report->Layer("core.plan_serial_s", 0.0, "s");
+  report->Layer("core.plan_pooled_s", 0.0, "s");
+  report->Layer("core.plan_thread_speedup", 0.0, "ratio");
+}
+
 void ReportTrace(double untraced, double traced, Report* report) {
   const Tracer& t = Tracer::Get();
   const std::map<std::string, double> self = t.SelfMillisByModule();

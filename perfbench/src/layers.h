@@ -35,6 +35,10 @@ struct LayerInputs {
 // metrics. Workload-specific layer metrics are reported by the workload.
 void ReplayLayers(const LayerInputs& in, Report* report);
 
+// The thread-scaling planner runs (core.plan_serial_s, core.plan_pooled_s,
+// core.plan_thread_speedup) are plan-cold's; the other workloads report 0.
+void ReportNoPlanScaling(Report* report);
+
 // Per-module self time from the recorded spans, the span count, the span
 // file, and the tracing overhead of the workload's headline metric
 // (`untraced` vs `traced`, same direction either way).

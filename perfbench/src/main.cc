@@ -6,8 +6,10 @@
 //
 //   zbench --workload serve-warm|serve-routed|stream-ingest|plan-cold
 //          --seed N --seconds S --trace 0|1
-//          [--corpus-seed N] [--compute-threads N] [--work-dir DIR]
-//          [--out-dir DIR] [--commit SHA]
+//          [--corpus-seed N] [--work-dir DIR] [--out-dir DIR] [--commit SHA]
+//
+// The compute pool's size comes from ZEUS_NUM_THREADS, 1 when unset; the
+// result file records the size it got.
 
 #include <cstdio>
 #include <cstdlib>
@@ -24,8 +26,8 @@ int Usage() {
                "usage: zbench --workload "
                "serve-warm|serve-routed|stream-ingest|plan-cold\n"
                "              --seed N --seconds S --trace 0|1\n"
-               "              [--corpus-seed N] [--compute-threads N] "
-               "[--work-dir DIR] [--out-dir DIR] [--commit SHA]\n");
+               "              [--corpus-seed N] [--work-dir DIR] "
+               "[--out-dir DIR] [--commit SHA]\n");
   return 2;
 }
 
@@ -42,7 +44,6 @@ bool ParseU64(const char* s, uint64_t* out) {
 int main(int argc, char** argv) {
   using namespace zeus::perfbench;
   Args args;
-  uint64_t compute_threads = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (i + 1 >= argc) return Usage();
@@ -56,9 +57,6 @@ int main(int argc, char** argv) {
       args.seconds = static_cast<int>(n);
     } else if (flag == "--trace" && ParseU64(v, &n) && n <= 1) {
       args.trace = n == 1;
-    } else if (flag == "--compute-threads" && ParseU64(v, &n) && n >= 1 &&
-               n <= 64) {
-      compute_threads = n;
     } else if (flag == "--corpus-seed" && ParseU64(v, &n)) {
       args.corpus_seed = n;
     } else if (flag == "--work-dir") {
@@ -72,11 +70,12 @@ int main(int argc, char** argv) {
     }
   }
   if (args.work_dir.empty()) return Usage();
-  // The library sizes its process-wide compute pool from ZEUS_NUM_THREADS
-  // on first use. One thread is the default here: on a 4-vCPU VM the
-  // default pool (one thread per CPU) made planning both slower and
-  // erratic (README, "Compute pool").
-  setenv("ZEUS_NUM_THREADS", std::to_string(compute_threads).c_str(), 1);
+  // The library sizes its compute pool from ZEUS_NUM_THREADS on first use,
+  // else one thread per CPU. Unless the caller set it, the benchmark runs
+  // on one thread: on a 4-vCPU VM the default pool made planning times
+  // spread past every bound from run to run (README, "Compute pool").
+  // plan-cold's traced run measures planning with the pool as well.
+  setenv("ZEUS_NUM_THREADS", "1", /*overwrite=*/0);
   // The library's INFO lines (one per trained plan) would interleave with
   // the benchmark's own output.
   zeus::common::SetLogLevel(zeus::common::LogLevel::kWarning);

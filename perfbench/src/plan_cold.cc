@@ -5,11 +5,14 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "bench.h"
 #include "common/rng.h"
 #include "common/stringutil.h"
+#include "common/thread_pool.h"
 #include "layers.h"
+#include "tensor/gemm.h"
 #include "trace.h"
 
 namespace zeus::perfbench {
@@ -23,6 +26,10 @@ double Seconds(Clock::duration d) {
 }
 
 constexpr int kSetups = 3;
+// Rounds a run makes at least: a round takes about as long as a 10 s run,
+// and a run of one round or of two would report a median of one planner
+// run per query or of two.
+constexpr int kMinRounds = 2;
 
 struct ColdSamples {
   std::vector<double> round_plan_s;  // mean planner run per round
@@ -54,6 +61,9 @@ const video::SyntheticDataset& DataOf(const ColdState& st,
 void RunRound(ColdState* st, const Args& args, Report* report,
               ColdSamples* out, std::unique_ptr<engine::EngineGroup>* keep) {
   Accounting& acct = report->accounting();
+  // The previous round's engine goes first, so that every round has the
+  // same memory peak.
+  if (keep != nullptr) keep->reset();
   auto group = std::make_unique<engine::EngineGroup>(GroupOptions("", false));
   for (size_t i = 0; i < st->defs.size(); ++i) {
     report->Check(group->RegisterDataset(st->defs[i].name, st->data[i]).ok(),
@@ -87,6 +97,16 @@ void RunRound(ColdState* st, const Args& args, Report* report,
     auto [it, fresh] = st->first_answer.emplace(q.sql, res);
     report->Check(fresh || SameAnswer(it->second, res, st->positions),
                   "a replanned query answered differently: " + q.sql);
+    // Asked again, the query is answered from the plan cache, identically.
+    acct.Attempt("repeat-query");
+    auto again = group->Execute(q.dataset, q.query);
+    if (!again.ok()) {
+      acct.Fail("repeat-query", again.status().ToString());
+    } else {
+      report->Check(again.value().plan_seconds == 0.0 &&
+                        SameAnswer(res, again.value(), st->positions),
+                    "a repeated query answered differently: " + q.sql);
+    }
     out->plan_s.push_back(res.plan_seconds);
     out->query_ms.push_back(seconds * 1e3);
     out->answer_ms.push_back((seconds - res.plan_seconds) * 1e3);
@@ -102,13 +122,31 @@ void RunRound(ColdState* st, const Args& args, Report* report,
   if (keep != nullptr) *keep = std::move(group);
 }
 
+// One planner run of `q` on a fresh memory-only group with `pool` as the
+// process's compute pool (nullptr = serial), in seconds.
+double PlanWithPool(const ColdState& st, const QueryVariant& q,
+                    common::ThreadPool* pool, Report* report) {
+  tensor::ComputeContext& ctx = tensor::GlobalComputeContext();
+  common::ThreadPool* const saved = ctx.pool;
+  ctx.pool = pool;
+  engine::EngineGroup group(GroupOptions("", false));
+  report->Check(group.RegisterDataset(q.dataset, DataOf(st, q.dataset)).ok(),
+                "register " + q.dataset);
+  auto r = group.Execute(q.dataset, q.query);
+  ctx.pool = saved;
+  report->Check(r.ok() && r.value().plan_seconds > 0.0,
+                "thread-scaling planner run: " + q.sql);
+  return r.ok() ? r.value().plan_seconds : 0.0;
+}
+
 ColdSamples Measure(ColdState* st, const Args& args, Report* report,
                     std::unique_ptr<engine::EngineGroup>* keep) {
   ColdSamples out;
   const auto start = Clock::now();
   do {
     RunRound(st, args, report, &out, keep);
-  } while (Seconds(Clock::now() - start) < args.seconds);
+  } while (out.rounds < kMinRounds ||
+           Seconds(Clock::now() - start) < args.seconds);
   return out;
 }
 
@@ -229,6 +267,19 @@ void RunPlanCold(Report* report) {
   in.sample = st.first_answer[st.queries.front().sql];
   in.trained = in.plans;
   ReplayLayers(in, report);
+  {
+    // Thread scaling of planning: the Thumos-like query planned serially
+    // and with a pool of one thread per CPU (README, "Compute pool").
+    const QueryVariant& q = st.queries[1];
+    const double serial_s = PlanWithPool(st, q, nullptr, report);
+    common::ThreadPool pool(
+        std::max(2, static_cast<int>(std::thread::hardware_concurrency())));
+    const double pooled_s = PlanWithPool(st, q, &pool, report);
+    report->Layer("core.plan_serial_s", serial_s, "s");
+    report->Layer("core.plan_pooled_s", pooled_s, "s");
+    report->Layer("core.plan_thread_speedup",
+                  pooled_s > 0.0 ? serial_s / pooled_s : 0.0, "ratio");
+  }
   Tracer::Get().Enable(false);
   ReportTrace(report->Value("plan_s"), Percentile(traced.round_plan_s, 50),
               report);

@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "common/stringutil.h"
 #include "layers.h"
+#include "serving.h"
 #include "trace.h"
 
 namespace zeus::perfbench {
@@ -59,20 +60,9 @@ long ServedFrames(const DatasetDef& d) {
   return d.frames + kServedBlocks * video::SyntheticDataset::kStreamBlockFrames;
 }
 
-// One answered request. Compact() drops the answer itself when it equals
-// the variant's reference answer, whose checks then stand for it, and keeps
-// the fields the checks and metrics read; a differing answer is kept whole.
-struct Answer {
-  int variant = 0;
-  double latency_ms = 0.0;
-  bool ok = false;
-  std::string error;
-  std::optional<engine::QueryResult> result;
-  bool same = false;
-  double plan_seconds = 0.0;
-  double wall_seconds = 0.0;
-  engine::Consistency consistency = engine::Consistency::kCertain;
-};
+// Compact() drops an Answer's result when it equals the variant's
+// reference answer, whose checks then stand for it, and keeps the fields
+// the checks and metrics read; a differing answer is kept whole.
 
 // Everything the serving workloads share: the corpus, the benchmark's own
 // copies of the datasets (for the checker), the plan catalog, and the
@@ -312,94 +302,6 @@ void SubmitAndWait(engine::EngineGroup* group, const QueryVariant& v,
   a->result = r.value();
 }
 
-struct OpenLoop {
-  std::vector<Answer> answers;
-  std::vector<double> send_lag_ms;
-};
-
-// Open loop: one sender submits on a seeded Poisson schedule regardless of
-// completions; kClients - 1 waiters collect the tickets. Latency is timed
-// from each request's due time.
-OpenLoop RunOpenLoop(const ServeState& st, engine::EngineGroup* group,
-                     uint64_t seed) {
-  common::Rng rng(seed * 2654435761ULL + 3);
-  std::vector<double> due(kOpenRequests);
-  std::vector<int> pick(kOpenRequests);
-  double t = 0.0;
-  for (int i = 0; i < kOpenRequests; ++i) {
-    t += -std::log(1.0 - rng.NextDouble()) / kOpenRatePerS;
-    due[size_t(i)] = t;
-    pick[size_t(i)] = rng.NextInt(0, static_cast<int>(st.mix.size()) - 1);
-  }
-  OpenLoop out;
-  out.answers.resize(kOpenRequests);
-  out.send_lag_ms.resize(kOpenRequests);
-
-  struct Pending {
-    int i;
-    engine::QueryTicket ticket;
-  };
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Pending> queue;
-  bool sent_all = false;
-  const Clock::time_point start = Clock::now() + std::chrono::milliseconds(20);
-  auto due_at = [&](int i) {
-    return start + std::chrono::duration_cast<Clock::duration>(
-                       std::chrono::duration<double>(due[size_t(i)]));
-  };
-
-  std::vector<std::thread> waiters;
-  for (int w = 0; w < kClients - 1; ++w) {
-    waiters.emplace_back([&] {
-      for (;;) {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return !queue.empty() || sent_all; });
-        if (queue.empty()) return;
-        Pending p = std::move(queue.front());
-        queue.pop_front();
-        lock.unlock();
-        Answer& a = out.answers[size_t(p.i)];
-        ScopedSpan s("engine.wait", p.i + 1);
-        const auto& r = p.ticket.Wait();
-        a.latency_ms = Ms(Clock::now() - due_at(p.i));
-        if (r.ok()) {
-          a.ok = true;
-          a.result = r.value();
-          Compact(st, &a);
-        } else {
-          a.error = r.status().ToString();
-        }
-      }
-    });
-  }
-  for (int i = 0; i < kOpenRequests; ++i) {
-    std::this_thread::sleep_until(due_at(i));
-    out.send_lag_ms[size_t(i)] = Ms(Clock::now() - due_at(i));
-    Answer& a = out.answers[size_t(i)];
-    a.variant = pick[size_t(i)];
-    const QueryVariant& v = st.mix[size_t(a.variant)];
-    common::Result<engine::QueryTicket> ticket = [&] {
-      ScopedSpan s("engine.submit", i + 1);
-      return group->Submit(v.dataset, v.query);
-    }();
-    if (!ticket.ok()) {
-      a.error = "refused: " + ticket.status().ToString();
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    queue.push_back({i, ticket.value()});
-    cv.notify_one();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    sent_all = true;
-  }
-  cv.notify_all();
-  for (std::thread& w : waiters) w.join();
-  return out;
-}
-
 // Two engine workers: with four, answers contend on the plan's
 // FeatureCache and the engine's locks, and capacity swung between 5k and
 // 14k answers/s from run to run on a 4-vCPU VM.
@@ -494,7 +396,8 @@ WarmMeasure MeasureWarm(const ServeState& st, engine::EngineGroup* group,
   WarmMeasure m;
   m.before = group->Stats(false);
   const auto open_start = Clock::now();
-  m.open = RunOpenLoop(st, group, args.seed);
+  m.open = RunOpenLoop(group, st.mix, kOpenRequests, kOpenRatePerS, args.seed,
+                       [&](Answer* a) { Compact(st, a); });
   const double open_s = Seconds(Clock::now() - open_start);
   const double closed_budget = std::max(1.0, seconds - open_s);
   const auto c0 = Clock::now();
@@ -672,6 +575,7 @@ void RunServeWarm(Report* report) {
                                  : "count");
   }
   report->Layer("video.generate_s", TimeGenerate(st, args.corpus_seed), "s");
+  ReportNoPlanScaling(report);
   ReplayLayers(ServeLayerInputs(st,
                                 [&](const QueryVariant& v) {
                                   return group->CachedPlan(v.dataset, v.query);
@@ -684,69 +588,11 @@ void RunServeWarm(Report* report) {
 
 namespace {
 
-// Three ShardServers (two engine workers each) behind a Router with
-// replication 2, every dataset registered from its spec and warmed from
-// the plan catalog.
-class Cluster {
- public:
-  Cluster(const ServeState& st, uint64_t corpus_seed, Report* report) {
-    cluster::Router::Options ropts;
-    for (int i = 0; i < 3; ++i) {
-      cluster::ShardServer::Options so;
-      so.engine = GroupOptions(st.catalog, false).engine;
-      so.engine.num_workers = 2;
-      so.name = "shard" + std::to_string(i);
-      shards_.push_back(std::make_unique<cluster::ShardServer>(so));
-      report->Check(shards_.back()->Start().ok(), "start " + so.name);
-      ropts.shards.push_back({"127.0.0.1", shards_.back()->port()});
-    }
-    ropts.replication = 2;
-    ropts.name = "router";
-    router_ = std::make_unique<cluster::Router>(ropts);
-    report->Check(router_->Start().ok(), "start router");
-    for (const DatasetDef& d : st.defs) {
-      report->Check(router_->RegisterDataset(SpecFor(d, corpus_seed)).ok(),
-                    "routed register " + d.name);
-      report->Check(
-          router_->AppendFrames(d.name, uint64_t(ServedFrames(d) - d.frames)).ok(),
-          "routed grow " + d.name);
-    }
-  }
-  ~Cluster() {
-    router_->Stop();
-    for (auto& s : shards_) s->Stop();
-  }
-  Cluster(const Cluster&) = delete;
-  Cluster& operator=(const Cluster&) = delete;
-
-  cluster::Router& router() { return *router_; }
-  cluster::ShardServer& shard(int i) { return *shards_[size_t(i)]; }
-
- private:
-  std::vector<std::unique_ptr<cluster::ShardServer>> shards_;
-  std::unique_ptr<cluster::Router> router_;
-};
-
-std::unique_ptr<cluster::RemoteShard> Connect(int port, const std::string& name) {
-  cluster::RemoteShard::Options o;
-  o.port = port;
-  o.name = name;
-  return std::make_unique<cluster::RemoteShard>(o);
-}
-
-void RemoteExecute(cluster::RemoteShard* conn, const QueryVariant& v,
-                   int64_t request, Answer* a) {
-  cluster::ExecRequest req;
-  req.dataset = v.dataset;
-  req.sql = v.sql;
-  ScopedSpan s("cluster.execute", request);
-  auto r = conn->Execute(req);
-  if (!r.ok()) {
-    a->error = r.status().ToString();
-    return;
-  }
-  a->ok = true;
-  a->result = std::move(r).value();
+// Every dataset of the corpus with its served frame count.
+std::vector<std::pair<DatasetDef, long>> Served(const ServeState& st) {
+  std::vector<std::pair<DatasetDef, long>> out;
+  for (const DatasetDef& d : st.defs) out.push_back({d, ServedFrames(d)});
+  return out;
 }
 
 struct RoutedMeasure {
@@ -801,7 +647,8 @@ void RunServeRouted(Report* report) {
   for (int i = 0; i < kSetups; ++i) {
     cluster.reset();
     const auto t0 = Clock::now();
-    cluster = std::make_unique<Cluster>(st, args.corpus_seed, report);
+    cluster = std::make_unique<Cluster>(st.catalog, Served(st),
+                                        args.corpus_seed, report);
     setups.push_back(Seconds(Clock::now() - t0));
   }
   for (int i = 0; i < 3; ++i) {
@@ -892,6 +739,7 @@ void RunServeRouted(Report* report) {
                                  : "count");
   }
   report->Layer("video.generate_s", TimeGenerate(st, args.corpus_seed), "s");
+  ReportNoPlanScaling(report);
 
   // The layer replay needs the plans in process: load them from the
   // catalog into a local group.

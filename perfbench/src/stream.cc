@@ -8,11 +8,13 @@
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "bench.h"
 #include "common/stringutil.h"
 #include "layers.h"
+#include "serving.h"
 #include "trace.h"
 
 namespace zeus::perfbench {
@@ -39,11 +41,12 @@ const DatasetDef& StreamDef() {
   return def;
 }
 
+constexpr char kStreamSql[] =
+    "SELECT segment_ids FROM UDF(video) WHERE action_class IN "
+    "('pole-vault', 'clean-and-jerk') AND accuracy >= 75%";
+
 core::ActionQuery StreamQuery() {
-  return core::QueryParser::Parse(
-             "SELECT segment_ids FROM UDF(video) WHERE action_class IN "
-             "('pole-vault', 'clean-and-jerk') AND accuracy >= 75%")
-      .value();
+  return core::QueryParser::Parse(kStreamSql).value();
 }
 
 struct Delivered {
@@ -264,9 +267,12 @@ void RunRound(StreamState& st, const Args& args, Report* report,
 }
 
 // After the timed phase: a full-prefix subscription over the final prefix
-// must equal a cold one-shot query on a separate engine.
-void CheckFullPrefix(StreamState& st, const Args& args,
-                     engine::EngineGroup* group, Report* report) {
+// must equal a cold one-shot query on a separate engine. Returns the
+// one-shot answer, or nothing when an operation failed.
+std::optional<engine::QueryResult> CheckFullPrefix(StreamState& st,
+                                                   const Args& args,
+                                                   engine::EngineGroup* group,
+                                                   Report* report) {
   Accounting& acct = report->accounting();
   const std::string& name = StreamDef().name;
   acct.Attempt("full-prefix");
@@ -275,13 +281,13 @@ void CheckFullPrefix(StreamState& st, const Args& args,
   auto t = group->Subscribe(name, StreamQuery(), so);
   if (!t.ok()) {
     acct.Fail("full-prefix", t.status().ToString());
-    return;
+    return std::nullopt;
   }
   auto u = t.value().Next(0, kTimeoutMs);
   t.value().Cancel();
   if (!u.ok()) {
     acct.Fail("full-prefix", u.status().ToString());
-    return;
+    return std::nullopt;
   }
   const engine::QueryResult& inc = u.value().result;
   engine::EngineGroup cold(GroupOptions(st.catalog, true));
@@ -294,7 +300,7 @@ void CheckFullPrefix(StreamState& st, const Args& args,
   auto one_shot = cold.Execute(name, StreamQuery());
   if (!one_shot.ok()) {
     acct.Fail("full-prefix", one_shot.status().ToString());
-    return;
+    return std::nullopt;
   }
   report->Check(SameAnswer(inc, one_shot.value(), st.positions) &&
                     inc.window_end == one_shot.value().window_end,
@@ -302,6 +308,7 @@ void CheckFullPrefix(StreamState& st, const Args& args,
   report->CheckAndPool(TestVideos(*st.local), st.positions, StreamQuery(),
                        one_shot.value(),
                        "cold one-shot over the final prefix");
+  return one_shot.value();
 }
 
 StreamSamples Measure(StreamState& st, const Args& args, Report* report,
@@ -344,6 +351,21 @@ void RunStreamIngest(Report* report) {
     report->Check(r.ok() && r.value().plan_seconds > 0.0, "train stream plan");
     if (r.ok()) st.plan_seconds.push_back(r.value().plan_seconds);
     report->Check(trainer.planner_runs() == 1, "stream planner_runs != 1");
+    AddPositions(*trainer.dataset(StreamDef().name), &st.positions);
+    // The plan reloaded from the catalog answers as the trained one did.
+    engine::EngineGroup reloaded(GroupOptions(st.catalog, true));
+    report->Check(reloaded.RegisterDataset(StreamDef().name,
+                                           Generate(StreamDef(), args.corpus_seed))
+                      .ok(),
+                  "register reloaded stream");
+    AddPositions(*reloaded.dataset(StreamDef().name), &st.positions);
+    auto again = reloaded.Execute(StreamDef().name, StreamQuery());
+    report->Check(again.ok() && reloaded.planner_runs() == 0 &&
+                      reloaded.disk_loads() >= 1,
+                  "stream plan not reloaded from the catalog");
+    report->Check(r.ok() && again.ok() &&
+                      SameAnswer(r.value(), again.value(), st.positions),
+                  "the reloaded stream plan answers differently");
     auto plan = trainer.CachedPlan(StreamDef().name, StreamQuery());
     report->Check(plan != nullptr, "stream plan cached");
     if (plan != nullptr) {
@@ -356,8 +378,19 @@ void RunStreamIngest(Report* report) {
   std::unique_ptr<engine::EngineGroup> last;
   StreamSamples m = Measure(st, args, report, &last);
   report->Check(m.planner_runs == 0, "planner ran during the stream rounds");
-  if (last != nullptr) CheckFullPrefix(st, args, last.get(), report);
+  std::optional<engine::QueryResult> final_answer;
+  if (last != nullptr) final_answer = CheckFullPrefix(st, args, last.get(), report);
   last.reset();
+  // The serving probe: the final-prefix answer through the cluster (and,
+  // traced, through Submit on the replay group below).
+  ServingProbe probe;
+  probe.def = StreamDef();
+  probe.frames = st.local->stream_length();
+  probe.query.dataset = StreamDef().name;
+  probe.query.sql = kStreamSql;
+  probe.query.query = StreamQuery();
+  probe.catalog = st.catalog;
+  if (final_answer.has_value()) probe.reference = *final_answer;
 
   report->Metric("setup_s", Percentile(m.setup_s, 50), "s");
   report->Metric("update_p50_ms", Percentile(m.update_ms, 50), "ms");
@@ -378,7 +411,11 @@ void RunStreamIngest(Report* report) {
   report->Detail("rounds", std::to_string(m.rounds));
 
   if (!args.trace) {
+    // The workload's own peak, before the probe's cluster adds its copies.
     report->Metric("peak_rss_mb", PeakRssMiB(), "MiB");
+    if (final_answer.has_value()) {
+      ProbeServing(probe, nullptr, &st.positions, report);
+    }
     return;
   }
   Tracer::Get().Enable(true);
@@ -422,18 +459,16 @@ void RunStreamIngest(Report* report) {
     report->Check(res.ok(), "replay execute");
     if (res.ok()) sample = res.value();
   }
+  AddPositions(*group.dataset(StreamDef().name), &st.positions);
+  report->Check(final_answer.has_value() &&
+                    SameAnswer(sample, *final_answer, st.positions),
+                "replay answer differs from the final-prefix answer");
   report->Layer("engine.execute_ms", Percentile(exec_ms, 50), "ms");
   const engine::GroupStats stats = group.Stats(false);
   report->Layer("engine.plan_cache_hits", double(stats.cache_hits), "count");
   report->Layer("engine.disk_loads", double(stats.disk_loads), "count");
-  for (const char* zero :
-       {"engine.overhead_ms", "load.send_lag_p99_ms", "cluster.shard_direct_ms",
-        "cluster.router_hop_ms", "cluster.read_failovers",
-        "cluster.certain_answers"}) {
-    report->Layer(zero, 0.0, std::string(zero).find("_ms") != std::string::npos
-                                 ? "ms"
-                                 : "count");
-  }
+  if (final_answer.has_value()) ProbeServing(probe, &group, &st.positions, report);
+  ReportNoPlanScaling(report);
   LayerInputs in;
   in.plans.push_back(group.CachedPlan(StreamDef().name, StreamQuery()));
   in.videos.push_back(TestVideos(*st.local));
