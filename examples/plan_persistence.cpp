@@ -1,22 +1,25 @@
-// Plan persistence: the train-once / deploy-many workflow, now through the
+// Plan persistence: the train-once / deploy-many workflow through the
 // engine's persistent PlanCache.
 //
 // A Zeus deployment trains a plan (APFG fine-tune + configuration
 // profiling + DQN) once per (dataset, query, accuracy target) and then
-// serves queries from the checkpoint. This example walks the full path:
-//   1. generate a dataset and persist it to a VideoStore corpus directory,
-//   2. run the query on an engine whose PlanCache persists to a plan
-//      directory — the cache trains the plan and checkpoints it via PlanIo,
-//   3. simulate a fresh process: a new engine pointed at the same plan
-//      directory reloads the dataset and the plan, and serves the query
-//      with plan_seconds == 0 (no re-training) and identical results.
+// serves queries from the checkpoint. The plan is the only durable state:
+// datasets are rebuilt from their recipe (profile + seed). This example
+// walks the full path:
+//   1. generate a dataset and run the query on an engine whose PlanCache
+//      persists to a plan directory — the cache trains the plan and
+//      checkpoints it via PlanIo,
+//   2. simulate a fresh process: a new engine pointed at the same plan
+//      directory loads the plan from disk and serves the query with
+//      plan_seconds == 0 (no re-training) and identical results.
+//
+// The exit code is the round-trip check: 0 when the restarted engine
+// served bit-identical segments without planning.
 
 #include <cstdio>
 #include <filesystem>
 
 #include "engine/query_engine.h"
-#include "storage/catalog.h"
-#include "storage/video_store.h"
 #include "video/dataset.h"
 
 namespace {
@@ -40,8 +43,9 @@ int main() {
   using zeus::video::SyntheticDataset;
 
   const std::string root = fs::temp_directory_path() / "zeus_deployment";
+  const std::string plan_dir = root + "/plans";
   fs::remove_all(root);
-  fs::create_directories(root + "/plans");
+  fs::create_directories(plan_dir);
 
   // --- Train-time process -------------------------------------------------
   DatasetProfile profile =
@@ -51,24 +55,16 @@ int main() {
   profile.action_fraction = 0.12;  // denser: keeps the demo's test split
                                    // populated with action instances
   auto dataset = SyntheticDataset::Generate(profile, 17);
-
-  auto catalog = zeus::storage::Catalog::Open(root);
-  if (!catalog.ok()) return 1;
-  std::printf("catalog at %s\n", root.c_str());
-
-  auto st = zeus::storage::SaveDataset(root + "/bdd_corpus", dataset);
-  if (!st.ok()) {
-    std::fprintf(stderr, "dataset save failed: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  (void)catalog.value().AddDataset("bdd", "bdd_corpus");
-  std::printf("persisted %zu videos to bdd_corpus/\n", dataset.num_videos());
+  // The restarted engine gets a copy rather than a regenerated dataset:
+  // video ids are process-global, so a second Generate in this process
+  // would hand out new ids and the segment comparison would not line up.
+  SyntheticDataset restart_copy = dataset;
 
   zeus::core::ActionQuery query;
   query.action_classes = {ActionClass::kCrossRight};
   query.accuracy_target = 0.85;
 
-  zeus::engine::QueryEngine trainer(EngineOptions(root + "/plans"));
+  zeus::engine::QueryEngine trainer(EngineOptions(plan_dir));
   if (!trainer.RegisterDataset("bdd", std::move(dataset)).ok()) return 1;
   auto first = trainer.Execute("bdd", query);
   if (!first.ok()) {
@@ -77,32 +73,16 @@ int main() {
     return 1;
   }
   std::printf(
-      "plan trained in %.1f s and checkpointed by the cache; executed via "
-      "%s: F1=%.3f, %zu segment(s)\n",
-      first.value().plan_seconds, first.value().executor.c_str(),
-      first.value().metrics.f1, first.value().segments.size());
-  (void)catalog.value().AddPlan({"bdd", "CrossRight", 0.85, "plans"});
+      "plan trained in %.1f s and checkpointed to %s; executed via %s: "
+      "F1=%.3f, %zu segment(s)\n",
+      first.value().plan_seconds, plan_dir.c_str(),
+      first.value().executor.c_str(), first.value().metrics.f1,
+      first.value().segments.size());
 
   // --- Serving-time process (fresh state, no training) --------------------
-  std::printf("\n--- simulated restart: serving from the catalog ---\n");
-  auto catalog2 = zeus::storage::Catalog::Open(root);
-  if (!catalog2.ok()) return 1;
-  auto dir = catalog2.value().DatasetDir("bdd");
-  auto entry = catalog2.value().FindPlan("bdd", "CrossRight", 0.85);
-  if (!dir.ok() || !entry.has_value()) {
-    std::fprintf(stderr, "catalog lookup failed\n");
-    return 1;
-  }
-  auto reloaded = zeus::storage::LoadDataset(dir.value());
-  if (!reloaded.ok()) return 1;
-  std::printf("dataset (%zu videos) reloaded, starting a fresh engine...\n",
-              reloaded.value().num_videos());
-
-  zeus::engine::QueryEngine server(
-      EngineOptions(root + "/" + entry->prefix));
-  if (!server.RegisterDataset("bdd", std::move(reloaded).value()).ok()) {
-    return 1;
-  }
+  std::printf("\n--- simulated restart: serving from the plan directory ---\n");
+  zeus::engine::QueryEngine server(EngineOptions(plan_dir));
+  if (!server.RegisterDataset("bdd", std::move(restart_copy)).ok()) return 1;
   auto second = server.Execute("bdd", query);
   if (!second.ok()) {
     std::fprintf(stderr, "post-restart query failed: %s\n",
@@ -119,6 +99,7 @@ int main() {
   bool identical =
       second.value().plan_seconds == 0.0 &&
       server.plan_cache().planner_runs() == 0 &&
+      server.plan_cache().disk_loads() == 1 &&
       zeus::engine::SameSegments(second.value(), first.value()) &&
       second.value().metrics.tp == first.value().metrics.tp &&
       second.value().metrics.fp == first.value().metrics.fp;

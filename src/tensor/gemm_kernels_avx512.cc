@@ -106,6 +106,16 @@ void SgemmRangeAvx512(bool trans_a, bool trans_b, int i_begin, int i_end,
                                       ldb, c, ldc, blk);
 }
 
+// gcc 12 reports -W(maybe-)uninitialized false positives inside the
+// AVX-512 intrinsic headers for the int8 and quantization kernels below
+// (the intrinsics' internal `__Y` undefined-vector operands). The
+// suppression is scoped to these functions only.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#if !defined(__clang__)  // clang has no -Wmaybe-uninitialized
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 // Int8 4x16 micro-tile on zmm: one B pair-row is exactly one 64-byte zmm
 // load; vpmaddwd accumulates each A row's broadcast k-pair — the same
 // exact integer arithmetic as the scalar reference, so bit-identical.
@@ -216,6 +226,8 @@ void I8PackPanelAvx512(const float* b, size_t ldb, int k, int cols, float inv,
     _mm512_storeu_si512(dst + static_cast<size_t>(p2) * kI8ColTile * 2, pair);
   }
 }
+
+#pragma GCC diagnostic pop
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "video/dataset.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "common/stats.h"
@@ -222,7 +223,7 @@ Video RenderStreamBlock(const DatasetProfile& p, uint64_t stream_seed,
 namespace {
 // Globally unique video ids so feature caches shared across datasets (e.g.
 // the domain-adaptation experiments) never collide on cache keys.
-int g_next_video_id = 0;
+std::atomic<int> g_next_video_id{0};
 }  // namespace
 
 SyntheticDataset SyntheticDataset::Generate(const DatasetProfile& profile,
@@ -237,7 +238,7 @@ SyntheticDataset SyntheticDataset::Generate(const DatasetProfile& profile,
     common::Rng video_rng = rng.Fork();
     auto events = ScriptVideo(profile, profile.frames_per_video, &video_rng);
     Video v = renderer.Render(profile.frames_per_video, events, &video_rng);
-    v.set_id(g_next_video_id++);
+    v.set_id(g_next_video_id.fetch_add(1));
     ds.videos_.push_back(std::move(v));
   }
   // Deterministic split: shuffle indices with a fixed fork of the seed.
@@ -283,14 +284,6 @@ common::Status SyntheticDataset::GrowTo(long target_frames, uint64_t epoch) {
     }
   }
   return common::Status::Ok();
-}
-
-void SyntheticDataset::RestoreStreamState(uint64_t seed, int base_frames,
-                                          uint64_t epoch) {
-  has_stream_seed_ = true;
-  stream_seed_ = seed;
-  base_frames_ = base_frames;
-  frame_epoch_ = epoch;
 }
 
 SyntheticDataset SyntheticDataset::FromParts(DatasetProfile profile,

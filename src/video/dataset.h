@@ -68,8 +68,9 @@ class SyntheticDataset {
   static SyntheticDataset Generate(const DatasetProfile& profile,
                                    uint64_t seed);
 
-  // Reassembles a dataset from persisted parts (storage round-trip). Split
-  // indices must each be a subset of [0, videos.size()).
+  // Reassembles a dataset from its parts. Split indices must each be a
+  // subset of [0, videos.size()). The result records no stream seed, so
+  // it is not streamable.
   static SyntheticDataset FromParts(DatasetProfile profile,
                                     std::vector<Video> videos,
                                     std::vector<int> train,
@@ -109,8 +110,8 @@ class SyntheticDataset {
 
   static constexpr int kStreamBlockFrames = 64;
 
-  // True when this dataset can grow (generated with a recorded seed — or
-  // restored via RestoreStreamState — and has test videos to grow).
+  // True when this dataset can grow (generated with a recorded seed and
+  // has test videos to grow).
   bool streamable() const { return has_stream_seed_ && !test_.empty(); }
 
   // Monotone growth epoch, stamped by GrowTo (applied as max). Readers
@@ -119,7 +120,6 @@ class SyntheticDataset {
 
   // Frame count the test videos were generated with (growth starts here).
   int base_frames() const { return base_frames_; }
-  uint64_t stream_seed() const { return stream_seed_; }
 
   // Current length of the growing (test-split) videos.
   long stream_length() const;
@@ -129,11 +129,6 @@ class SyntheticDataset {
   // the epoch (monotone max), and re-applying any prefix of appends is a
   // no-op. Fails with InvalidArgument when the dataset is not streamable.
   common::Status GrowTo(long target_frames, uint64_t epoch);
-
-  // Restores stream identity after a storage round-trip (LoadDataset) so
-  // a reloaded dataset keeps growing deterministically from where the
-  // saved one stopped.
-  void RestoreStreamState(uint64_t seed, int base_frames, uint64_t epoch);
 
  private:
   DatasetProfile profile_;

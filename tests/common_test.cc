@@ -1,10 +1,13 @@
 // Unit tests for zeus::common — Status/Result, Rng determinism and
-// distributional sanity, running statistics, string utilities.
+// distributional sanity, running statistics, string utilities, CRC32.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -145,6 +148,36 @@ TEST(StringUtilTest, StartsWithAndFormat) {
   EXPECT_TRUE(StartsWith("select *", "select"));
   EXPECT_FALSE(StartsWith("sel", "select"));
   EXPECT_EQ(Format("%d-%s", 3, "x"), "3-x");
+}
+
+// ---------------------------------------------------------------------------
+// CRC32
+
+TEST(Crc32Test, MatchesKnownVectors) {
+  // Standard test vector: CRC32("123456789") = 0xCBF43926.
+  const char msg[] = "123456789";
+  EXPECT_EQ(common::Crc32(0, msg, 9), 0xCBF43926u);
+  // Empty input is the identity.
+  EXPECT_EQ(common::Crc32(0, msg, 0), 0u);
+}
+
+TEST(Crc32Test, IncrementalMatchesSingleShot) {
+  const std::string data = "zeus localizes actions with reinforcement";
+  uint32_t whole = common::Crc32(0, data.data(), data.size());
+  uint32_t crc = 0;
+  for (size_t i = 0; i < data.size(); i += 7) {
+    size_t n = std::min<size_t>(7, data.size() - i);
+    crc = common::Crc32(crc, data.data() + i, n);
+  }
+  EXPECT_EQ(crc, whole);
+}
+
+TEST(Crc32Test, DetectsSingleBitFlip) {
+  std::string data(256, '\0');
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<char>(i);
+  uint32_t clean = common::Crc32(0, data.data(), data.size());
+  data[100] = static_cast<char>(data[100] ^ 0x10);
+  EXPECT_NE(common::Crc32(0, data.data(), data.size()), clean);
 }
 
 }  // namespace

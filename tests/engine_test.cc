@@ -323,6 +323,52 @@ TEST_F(QueryEngineTest, PersistedPlanReloadsAfterRestartWithoutReplanning) {
   ExpectSameOutcome(r.value(), *baseline_auto_);
 }
 
+TEST(PlanBandTest, PersistedPlanMatchingQuantizesToAccuracyBands) {
+  // Plan keys carry the target on the milli-accuracy grid (PlanKey's
+  // %.3f), so a target with sub-band float noise must find its own plan
+  // after a persist / warm-start round trip, and adjacent bands must not
+  // alias onto it.
+  const std::string dir = testing::TempDir() + "/zeus_engine_bands";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  engine::QueryEngine::Options opts;
+  opts.planner = FastPlannerOptions();
+  opts.cache.persist_dir = dir;
+  {
+    engine::QueryEngine trainer(opts);
+    ASSERT_TRUE(trainer.RegisterDataset("bdd", MakeDataset()).ok());
+    auto r = trainer.Execute("bdd", CrossRightQuery(0.8 + 1e-12));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(trainer.plan_cache().planner_runs(), 1);
+  }
+
+  engine::QueryEngine restarted(opts);
+  ASSERT_TRUE(restarted.RegisterDataset("bdd", MakeDataset()).ok());
+  ASSERT_EQ(restarted.WarmUpDataset("bdd"), 1u);
+  for (double target : {0.8, 0.8 - 1e-12}) {
+    auto r = restarted.Execute("bdd", CrossRightQuery(target));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().plan_seconds, 0.0) << target;
+  }
+  EXPECT_EQ(restarted.plan_cache().planner_runs(), 0);
+  EXPECT_EQ(restarted.plan_cache().disk_loads(), 1);
+  EXPECT_EQ(restarted.CachedPlan("bdd", CrossRightQuery(0.8)),
+            restarted.CachedPlan("bdd", CrossRightQuery(0.8 - 1e-12)));
+
+  // Adjacent bands, even one grid step away, key separately and are not
+  // served by the warm plan.
+  const std::string warm_key =
+      engine::QueryEngine::PlanKey("bdd", CrossRightQuery(0.8));
+  for (double target : {0.801, 0.85}) {
+    EXPECT_NE(engine::QueryEngine::PlanKey("bdd", CrossRightQuery(target)),
+              warm_key)
+        << target;
+    EXPECT_EQ(restarted.CachedPlan("bdd", CrossRightQuery(target)), nullptr)
+        << target;
+  }
+  fs::remove_all(dir);
+}
+
 TEST_F(QueryEngineTest, LruEvictionFallsBackToDisk) {
   engine::QueryEngine::Options opts;
   opts.planner = FastPlannerOptions();

@@ -1,6 +1,6 @@
 // Parameterized property sweeps across module boundaries: decoder
-// invariants over the full knob range, metrics algebra, storage round-trips
-// over the encoding x shape matrix, and configuration-space invariants.
+// invariants over the full knob range, metrics algebra, and
+// configuration-space invariants.
 
 #include <cctype>
 #include <string>
@@ -11,7 +11,6 @@
 
 #include "core/configuration.h"
 #include "core/metrics.h"
-#include "storage/video_file.h"
 #include "video/dataset.h"
 #include "video/decoder.h"
 
@@ -150,54 +149,6 @@ TEST(MetricsPropertyTest, WindowAccuracyEmptyWindowIsPerfect) {
       core::WindowAccuracy(v, {video::ActionClass::kLeftTurn}, mask, 0, 50),
       1.0);
 }
-
-// ---------------------------------------------------------------------------
-// Storage round-trip matrix: encoding x shape.
-
-class VideoFileRoundTripTest
-    : public testing::TestWithParam<
-          std::tuple<storage::PixelEncoding, int, int>> {};
-
-TEST_P(VideoFileRoundTripTest, LabelsExactPixelsBounded) {
-  const auto [encoding, frames, side] = GetParam();
-  video::Video v = RandomVideo(frames, side, 47);
-  for (int f = frames / 3; f < 2 * frames / 3; ++f) {
-    v.SetLabel(f, video::ActionClass::kPoleVault);
-  }
-  v.set_id(4700 + frames * 10 + side);
-
-  const std::string path = testing::TempDir() + "/prop_roundtrip.zvf";
-  ASSERT_TRUE(storage::VideoFile::Save(path, v, encoding).ok());
-  auto loaded = storage::VideoFile::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const video::Video& w = loaded.value();
-  EXPECT_EQ(w.id(), v.id());
-  ASSERT_EQ(w.labels(), v.labels());
-  const float bound = encoding == storage::PixelEncoding::kFloat32
-                          ? 0.0f
-                          : 1.0f / 255.0f + 1e-5f;
-  for (int f = 0; f < frames; ++f) {
-    const float* a = v.FrameData(f);
-    const float* b = w.FrameData(f);
-    for (int i = 0; i < side * side; ++i) ASSERT_NEAR(a[i], b[i], bound);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    EncodingShapes, VideoFileRoundTripTest,
-    testing::Combine(testing::Values(storage::PixelEncoding::kFloat32,
-                                     storage::PixelEncoding::kUint8),
-                     testing::Values(1, 16, 60),   // frames
-                     testing::Values(4, 24)),      // side
-    [](const testing::TestParamInfo<
-        std::tuple<storage::PixelEncoding, int, int>>& info) {
-      return std::string(std::get<0>(info.param) ==
-                                 storage::PixelEncoding::kFloat32
-                             ? "f32"
-                             : "u8") +
-             "_f" + std::to_string(std::get<1>(info.param)) + "_s" +
-             std::to_string(std::get<2>(info.param));
-    });
 
 // ---------------------------------------------------------------------------
 // Configuration space invariants over every dataset family.

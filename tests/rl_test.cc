@@ -2,6 +2,15 @@
 // reward functions (Eq. 2 scenarios of Fig. 7 and Alg. 2 signs), DQN on a
 // trivially learnable contextual bandit, env traversal invariants.
 
+// gcc 12 at -O3 reports a false -Wnonnull inside the out-of-line
+// std::vector<float>::_M_assign_aux that the `e.state = {...}` assignments
+// below instantiate. The diagnostic is located in the libstdc++ header, so
+// the suppression has to be in force where <vector> is first included.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wnonnull"
+#include <vector>
+#pragma GCC diagnostic pop
+
 #include <gtest/gtest.h>
 
 #include "apfg/feature_cache.h"

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "video/action.h"
@@ -427,7 +430,8 @@ TEST(StreamGrowthTest, GrownTailHasActionContent) {
   EXPECT_GT(action_frames, 0);
 }
 
-TEST(StreamGrowthTest, FromPartsIsNotStreamableUntilRestored) {
+TEST(StreamGrowthTest, FromPartsIsNotStreamable) {
+  // A reassembled dataset carries no stream seed, so it cannot grow.
   auto ds = SyntheticDataset::Generate(SmallStreamProfile(), 4);
   std::vector<Video> videos(ds.videos().begin(), ds.videos().end());
   auto parts = SyntheticDataset::FromParts(
@@ -435,14 +439,31 @@ TEST(StreamGrowthTest, FromPartsIsNotStreamableUntilRestored) {
       ds.test_indices());
   EXPECT_FALSE(parts.streamable());
   EXPECT_FALSE(parts.GrowTo(100, 1).ok());
-  parts.RestoreStreamState(4, 80, 0);
-  ASSERT_TRUE(parts.streamable());
-  ASSERT_TRUE(parts.GrowTo(100, 1).ok());
-  // Restored growth matches growth on the original object.
-  ASSERT_TRUE(ds.GrowTo(100, 1).ok());
-  for (size_t i = 0; i < ds.num_videos(); ++i) {
-    EXPECT_TRUE(SamePixels(ds.video(i), parts.video(i)));
+}
+
+TEST(DatasetTest, ConcurrentGenerationHandsOutDistinctVideoIds) {
+  // Shards generate datasets on concurrent connection threads; the
+  // FeatureCache keys on video id, so ids must never repeat.
+  DatasetProfile profile = SmallStreamProfile();
+  std::vector<std::vector<int>> ids(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < ids.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (uint64_t seed = 0; seed < 3; ++seed) {
+        auto ds = SyntheticDataset::Generate(profile, seed);
+        for (const Video& v : ds.videos()) ids[t].push_back(v.id());
+      }
+    });
   }
+  for (auto& th : threads) th.join();
+  std::set<int> distinct;
+  size_t total = 0;
+  for (const auto& per_thread : ids) {
+    total += per_thread.size();
+    distinct.insert(per_thread.begin(), per_thread.end());
+  }
+  EXPECT_EQ(total, 4u * 3u * static_cast<size_t>(profile.num_videos));
+  EXPECT_EQ(distinct.size(), total);
 }
 
 }  // namespace

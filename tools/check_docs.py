@@ -11,6 +11,11 @@ Checks, in order:
 3. docs/ARCHITECTURE.md links to the three reference docs
    (PROTOCOL.md, OPERATIONS.md, METRICS.md) -- they are reachable from
    the entry point, not orphaned.
+4. Every code path named in backticks in docs/*.md exists, resolved
+   against the repo root or src/. A code path is a whitespace-separated
+   token inside a code span that contains a "/" and ends in .cc, .h,
+   .cpp, .py, .sh, .json or .md, optionally followed by ":line" or
+   ":first-last". A doc cannot keep citing a file that was deleted.
 
 Exit 0 when everything holds; exit 1 with one line per problem.
 Run from anywhere: paths resolve against the repo root (this file's
@@ -37,6 +42,10 @@ REQUIRED_FROM_ARCHITECTURE = [
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(\s*<?([^)>\s]+)>?(?:\s+\"[^\"]*\")?\s*\)")
 # Fenced code blocks: links inside them are examples, not navigation.
 FENCE_RE = re.compile(r"^(```|~~~)")
+# Inline code spans, and the code-path tokens checked inside them.
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+CODE_PATH_RE = re.compile(
+    r"^([\w.\-/]*/[\w.\-]+\.(?:cc|h|cpp|py|sh|json|md))(?::\d+(?:-\d+)?)?$")
 
 
 def scanned_files():
@@ -73,6 +82,19 @@ def check_links(md, problems):
             problems.append(f"{md.relative_to(REPO)}: dead link: {target}")
 
 
+def check_code_paths(md, problems, root=REPO):
+    text = strip_fences(md.read_text(encoding="utf-8"))
+    for span in CODE_SPAN_RE.findall(text):
+        for token in span.split():
+            m = CODE_PATH_RE.match(token)
+            if not m:
+                continue
+            path = m.group(1)
+            if not ((root / path).exists() or (root / "src" / path).exists()):
+                problems.append(f"{md.relative_to(root)}: names a missing "
+                                f"code path: {token}")
+
+
 def main():
     problems = []
 
@@ -81,6 +103,8 @@ def main():
         problems.append("no markdown files found -- wrong working tree?")
     for md in files:
         check_links(md, problems)
+    for md in sorted((REPO / "docs").glob("*.md")):
+        check_code_paths(md, problems)
 
     roadmap = REPO / "ROADMAP.md"
     if not roadmap.is_file() or TIER1 not in roadmap.read_text(
